@@ -13,35 +13,54 @@ OfflineAnalyzer::configFor(double target_dilation, DvfsKind model,
     return c;
 }
 
-AnalysisResult
-OfflineAnalyzer::analyze(const std::vector<InstTrace> &trace) const
+ShakenProfile
+shakeTrace(const std::vector<InstTrace> &trace, const DepGraphConfig &graph,
+           const ShakerConfig &shaker, Hertz fmax, Hertz fmin,
+           ThreadPool &pool)
 {
-    AnalysisResult result;
-
-    std::vector<IntervalGraph> graphs =
-        buildIntervalGraphs(trace, config.graph);
-    result.intervals = graphs.size();
-
-    std::vector<IntervalHistos> histos;
-    histos.reserve(graphs.size());
-    for (IntervalGraph &g : graphs) {
-        result.eventsTotal += g.size();
-        ShakeResult sr = shake(g, config.shaker,
-                               config.clustering.fmax,
-                               config.clustering.fmin);
-        result.slackConsumed += sr.slackConsumed;
-        IntervalHistos ih;
+    const std::vector<TraceSlice> slices = sliceIntervals(trace, graph);
+    ShakenProfile profile;
+    profile.intervals.resize(slices.size());
+    std::vector<std::size_t> events(slices.size(), 0);
+    std::vector<double> slack(slices.size(), 0.0);
+    pool.parallelFor(slices.size(), [&](std::size_t i) {
+        IntervalGraph g = buildIntervalGraph(trace, slices[i], graph);
+        ShakeResult sr = shake(g, shaker, fmax, fmin);
+        IntervalHistos &ih = profile.intervals[i];
         ih.start = g.intervalStart;
         ih.end = g.intervalEnd;
         ih.hist = sr.histogram;
-        histos.push_back(std::move(ih));
+        events[i] = g.size();
+        slack[i] = sr.slackConsumed;
+    });
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+        profile.eventsTotal += events[i];
+        profile.slackConsumed += slack[i];
     }
+    return profile;
+}
 
-    ClusterPhase cluster(config.clustering);
-    ClusterResult cr = cluster.run(histos);
+AnalysisResult
+cluster(const ShakenProfile &profile, const ClusteringConfig &cfg)
+{
+    ClusterResult cr = ClusterPhase(cfg).run(profile.intervals);
+    AnalysisResult result;
     result.schedule = std::move(cr.schedule);
     result.plans = std::move(cr.plans);
+    result.intervals = profile.intervals.size();
+    result.eventsTotal = profile.eventsTotal;
+    result.slackConsumed = profile.slackConsumed;
     return result;
+}
+
+AnalysisResult
+OfflineAnalyzer::analyze(const std::vector<InstTrace> &trace) const
+{
+    ThreadPool serial(0);
+    return cluster(shakeTrace(trace, config.graph, config.shaker,
+                              config.clustering.fmax,
+                              config.clustering.fmin, serial),
+                   config.clustering);
 }
 
 } // namespace mcd

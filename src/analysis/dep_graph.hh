@@ -125,6 +125,31 @@ struct DepGraphConfig
     double domainPower[numDomains] = {0.8, 1.0, 1.15, 1.05};
 };
 
+/** One interval's records: trace indices [first, last). */
+struct TraceSlice
+{
+    std::size_t first = 0;
+    std::size_t last = 0;
+};
+
+/**
+ * Slice a trace into intervals: maximal runs of records whose
+ * dispatch time falls in the same cfg.intervalLength window, in trace
+ * order.
+ */
+std::vector<TraceSlice>
+sliceIntervals(const std::vector<InstTrace> &trace,
+               const DepGraphConfig &cfg);
+
+/**
+ * Build the DAG of one interval. Reads records past @p slice (ROB
+ * occupancy ceilings look ahead), so @p trace must be the whole
+ * trace the slice came from. Slices are independent of each other.
+ */
+IntervalGraph
+buildIntervalGraph(const std::vector<InstTrace> &trace, TraceSlice slice,
+                   const DepGraphConfig &cfg);
+
 /**
  * Slice a trace into intervals and build one DAG per interval.
  */

@@ -1,6 +1,7 @@
 #include "shaker.hh"
 
 #include <algorithm>
+#include <utility>
 
 namespace mcd {
 
@@ -59,6 +60,32 @@ inSlack(const IntervalGraph &g, std::int32_t e)
 
 } // namespace
 
+void
+radixSort(std::vector<OrderSlot> &slots, std::vector<OrderSlot> &scratch)
+{
+    constexpr int digitBits = 8;
+    constexpr std::uint64_t mask = (std::uint64_t(1) << digitBits) - 1;
+    std::uint64_t keyBits = 0;
+    for (const OrderSlot &s : slots)
+        keyBits |= s.key;
+    scratch.resize(slots.size());
+    for (int shift = 0; shift < 64 && (keyBits >> shift) != 0;
+         shift += digitBits) {
+        std::array<std::size_t, mask + 1> offset{};
+        for (const OrderSlot &s : slots)
+            ++offset[(s.key >> shift) & mask];
+        // A digit every key shares leaves the order as it is.
+        if (offset[(slots.front().key >> shift) & mask] == slots.size())
+            continue;
+        std::size_t sum = 0;
+        for (std::size_t &o : offset)
+            sum += std::exchange(o, sum);
+        for (const OrderSlot &s : slots)
+            scratch[offset[(s.key >> shift) & mask]++] = s;
+        slots.swap(scratch);
+    }
+}
+
 ShakeResult
 shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
 {
@@ -81,20 +108,26 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
     const double thresholdFloor =
         minPower / (maxStretch * maxStretch) * 0.5;
 
-    std::vector<std::int32_t> order(g.size());
+    // The visit order, carried from pass to pass: each re-sort is
+    // stable, so ties keep the previous pass's order.
+    std::vector<OrderSlot> order(g.size());
+    std::vector<OrderSlot> scratch;
     for (std::size_t i = 0; i < g.size(); ++i)
-        order[i] = static_cast<std::int32_t>(i);
+        order[i].event = static_cast<std::int32_t>(i);
 
     for (int pass = 0; pass < cfg.maxPasses; ++pass) {
         bool scaled = false;
 
         // Backward pass: latest-ending events first; slack sits on
         // outgoing edges and migrates to incoming ones.
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::int32_t a, std::int32_t b) {
-                             return g.events[a].end > g.events[b].end;
-                         });
-        for (std::int32_t e : order) {
+        Tick hi = 0;
+        for (const DagEvent &ev : g.events)
+            hi = std::max(hi, ev.end);
+        for (OrderSlot &s : order)
+            s.key = hi - g.events[s.event].end;
+        radixSort(order, scratch);
+        for (const OrderSlot &slot : order) {
+            const std::int32_t e = slot.event;
             DagEvent &ev = g.events[e];
             double slack = outSlack(g, e);
             if (slack <= 0.0)
@@ -130,11 +163,14 @@ shake(IntervalGraph &g, const ShakerConfig &cfg, Hertz fmax, Hertz fmin)
 
         // Forward pass: earliest-starting events first; slack sits on
         // incoming edges and migrates to outgoing ones.
-        std::stable_sort(order.begin(), order.end(),
-                         [&](std::int32_t a, std::int32_t b) {
-                             return g.events[a].start < g.events[b].start;
-                         });
-        for (std::int32_t e : order) {
+        Tick lo = ~Tick(0);
+        for (const DagEvent &ev : g.events)
+            lo = std::min(lo, ev.start);
+        for (OrderSlot &s : order)
+            s.key = g.events[s.event].start - lo;
+        radixSort(order, scratch);
+        for (const OrderSlot &slot : order) {
+            const std::int32_t e = slot.event;
             DagEvent &ev = g.events[e];
             double slack = inSlack(g, e);
             if (slack <= 0.0)

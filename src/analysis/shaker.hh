@@ -12,6 +12,7 @@
 #define MCD_ANALYSIS_SHAKER_HH
 
 #include <array>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/dep_graph.hh"
@@ -59,6 +60,23 @@ struct ShakeResult
     int passesRun = 0;
     double slackConsumed = 0.0;     //!< ps of slack absorbed by scaling
 };
+
+/** One entry of the shaker's visit order: a sort key and an event. */
+struct OrderSlot
+{
+    std::uint64_t key = 0;
+    std::int32_t event = 0;
+};
+
+/**
+ * Stable LSD radix sort of @p slots by ascending key, 8 bits per
+ * digit, skipping digits every key shares. Equal keys keep their
+ * input order, so the result is the permutation std::stable_sort
+ * gives. @p scratch is a reusable buffer of the same element type;
+ * the two vectors may trade storage.
+ */
+void radixSort(std::vector<OrderSlot> &slots,
+               std::vector<OrderSlot> &scratch);
 
 /**
  * Run the shaker on one interval graph (mutates event times,

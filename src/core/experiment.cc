@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <iomanip>
 #include <filesystem>
 #include <fstream>
@@ -1317,21 +1318,42 @@ ExperimentRunner::storeCache(const BenchmarkResults &r) const
         std::filesystem::remove(tmp, ec);
 }
 
+namespace {
+
+/** The target-independent analysis of one profiling trace (the host
+ *  profiler's "analyze" phase). */
+ShakenProfile
+shakenProfile(const std::vector<InstTrace> &trace, ThreadPool &pool,
+              const std::string &bench)
+{
+    obs::HostProfiler::Scope prof =
+        obs::HostProfiler::instance().phase("analyze", bench);
+    // configFor() sets only clustering fields, so the default graph,
+    // shaker and frequency range serve every dilation target.
+    const AnalyzerConfig ac;
+    return shakeTrace(trace, ac.graph, ac.shaker, ac.clustering.fmax,
+                      ac.clustering.fmin, pool);
+}
+
+} // namespace
+
 RunResult
 ExperimentRunner::profileLeg(const Program &prog,
-                             std::vector<InstTrace> &trace_out,
+                             std::vector<InstTrace> *trace_out,
                              const std::string &site) const
 {
     // Baseline MCD (all domains statically at 1 GHz); doubles as the
     // profiling run for the offline tool.
     SimConfig profCfg = makeSimConfig(ClockingStyle::Mcd, site);
-    profCfg.collectTrace = true;
+    profCfg.collectTrace = trace_out != nullptr;
     // The offline tool needs every instruction's timestamps: the
-    // profiling run always executes in full detail.
+    // profiling run always executes in full detail, trace or not, so
+    // the run's result does not depend on whether anyone reads it.
     profCfg.sampling.reset();
     McdProcessor prof(profCfg, prog);
     RunResult r = prof.run();
-    trace_out = prof.takeTrace();
+    if (trace_out)
+        *trace_out = prof.takeTrace();
     return r;
 }
 
@@ -1353,27 +1375,30 @@ ExperimentRunner::controllerLeg(const Program &prog, const LegSpec &leg,
     return runOnce(prog, sc);
 }
 
-ExperimentRunner::DynLeg
+ExperimentRunner::DynamicRun
 ExperimentRunner::dynamicLeg(const Program &prog,
-                             const std::vector<InstTrace> &trace,
+                             const ShakenProfile &profile,
                              double target_dilation,
-                             const std::string &site) const
+                             const std::string &site,
+                             bool freq_trace) const
 {
-    OfflineAnalyzer analyzer(OfflineAnalyzer::configFor(
-        target_dilation, config.model, config.dvfsTimeScale));
-    AnalysisResult analysis = [&] {
+    DynamicRun out;
+    {
         obs::HostProfiler::Scope prof =
-            obs::HostProfiler::instance().phase("analyze", site);
-        return analyzer.analyze(trace);
-    }();
+            obs::HostProfiler::instance().phase("cluster", site);
+        out.analysis = cluster(
+            profile, OfflineAnalyzer::configFor(target_dilation,
+                                                config.model,
+                                                config.dvfsTimeScale)
+                         .clustering);
+    }
     SimConfig dynCfg = makeSimConfig(ClockingStyle::Mcd, site);
     dynCfg.dvfs = config.model;
     dynCfg.dvfsTimeScale = config.dvfsTimeScale;
-    dynCfg.schedule = &analysis.schedule;
-    DynLeg leg;
-    leg.result = runOnce(prog, dynCfg);
-    leg.scheduleSize = analysis.schedule.size();
-    return leg;
+    dynCfg.schedule = &out.analysis.schedule;
+    dynCfg.recordFreqTrace = freq_trace;
+    out.result = runOnce(prog, dynCfg);
+    return out;
 }
 
 ExperimentRunner::GlobalOut
@@ -1420,28 +1445,16 @@ ExperimentRunner::DynamicRun
 ExperimentRunner::runDynamic(const std::string &name,
                              double target_dilation)
 {
-    Program prog = workloads::build(name, config.scale);
-
-    // Profiling run: baseline MCD at full speed, trace collection on.
-    SimConfig profCfg = makeSimConfig(ClockingStyle::Mcd);
-    profCfg.collectTrace = true;
-    McdProcessor prof(profCfg, prog);
-    prof.run();
-
-    OfflineAnalyzer analyzer(OfflineAnalyzer::configFor(
-        target_dilation, config.model, config.dvfsTimeScale));
-    AnalysisResult analysis = analyzer.analyze(prof.trace().trace());
-
-    SimConfig dynCfg = makeSimConfig(ClockingStyle::Mcd);
-    dynCfg.dvfs = config.model;
-    dynCfg.dvfsTimeScale = config.dvfsTimeScale;
-    dynCfg.schedule = &analysis.schedule;
-    dynCfg.recordFreqTrace = config.recordFreqTrace;
-
-    DynamicRun out;
-    out.result = runOnce(prog, dynCfg);
-    out.analysis = std::move(analysis);
-    return out;
+    const Program prog = workloads::build(name, config.scale);
+    // The trace dies with this lambda, before the replay runs.
+    const ShakenProfile profile = [&] {
+        std::vector<InstTrace> trace;
+        profileLeg(prog, &trace, {});
+        ThreadPool serial(0);
+        return shakenProfile(trace, serial, name);
+    }();
+    return dynamicLeg(prog, profile, target_dilation, {},
+                      config.recordFreqTrace);
 }
 
 RunResult
@@ -1585,17 +1598,44 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
         }
     };
 
-    // Baseline MCD / profiling run (produces the trace).
+    // Baseline MCD / profiling run. Only the offline analysis reads
+    // its trace, so a matrix without schedule-replay legs does not
+    // collect one.
+    const bool replays =
+        std::any_of(r.legs.begin(), r.legs.end(), [](const auto &l) {
+            return l.spec.kind == LegSpec::Kind::ScheduleReplay;
+        });
     std::vector<InstTrace> trace;
-    auto profFut = pool.submit([this, &name, &prog, &trace] {
+    auto profFut = pool.submit([this, &name, &prog, &trace, replays] {
         return runGuarded(name, "mcdBaseline", [&] {
-            return profileLeg(prog, trace, name + "/mcdBaseline");
+            return profileLeg(prog, replays ? &trace : nullptr,
+                              name + "/mcdBaseline");
         });
     });
     r.mcdBaseline = pool.wait(profFut);
 
-    // Schedule-replay legs analyze and simulate independently off the
-    // shared (now read-only) trace. The schedule sizes ride out via
+    // DAG build and shaker do not depend on the dilation target: shake
+    // the trace once, intervals sharded over the pool, and free it
+    // before any replay simulates. An analysis error is kept and
+    // rethrown inside each replay leg's guard, so it fails exactly
+    // those legs, classified like any other leg error.
+    ShakenProfile profile;
+    std::exception_ptr analysisError;
+    if (replays && !r.mcdBaseline.failed()) {
+        try {
+            if (config.faults)
+                config.faults->onLegAttempt(
+                    name + "/mcdBaseline/analyze", 1);
+            profile = shakenProfile(trace, pool, name);
+        } catch (...) {
+            analysisError = std::current_exception();
+        }
+    }
+    trace.clear();
+    trace.shrink_to_fit();
+
+    // Schedule-replay legs cluster and simulate independently off the
+    // shared (now read-only) profile. The schedule sizes ride out via
     // the pre-sized vector, each slot written only before its lambda
     // returns (i.e. before wait() synchronizes with it).
     std::vector<std::size_t> schedSizes(r.legs.size(), 0);
@@ -1613,12 +1653,15 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
             continue;
         }
         replayFuts.emplace_back(
-            i, pool.submit([this, &name, &prog, &trace, &schedSizes,
-                            spec, i] {
+            i, pool.submit([this, &name, &prog, &profile, &analysisError,
+                            &schedSizes, spec, i] {
                 return runGuarded(name, spec->name, [&] {
-                    DynLeg leg = dynamicLeg(prog, trace, spec->dilation,
-                                            name + "/" + spec->name);
-                    schedSizes[i] = leg.scheduleSize;
+                    if (analysisError)
+                        std::rethrow_exception(analysisError);
+                    DynamicRun leg = dynamicLeg(prog, profile,
+                                                spec->dilation,
+                                                name + "/" + spec->name);
+                    schedSizes[i] = leg.analysis.schedule.size();
                     return leg.result;
                 });
             }));

@@ -462,12 +462,16 @@ class ExperimentRunner
     /**
      * Same matrix, with the independent legs fanned out on @p pool as
      * a small task graph: the baseline, every controller leg, and the
-     * MCD profiling run execute in parallel; then the schedule-replay
-     * legs analyze+simulate concurrently off the shared trace; the
-     * global-search legs (which need the baseline plus their
-     * reference leg) run last. Every leg simulates an independently
-     * constructed, per-run-seeded processor, so the results are
-     * bit-identical to the serial runBenchmark() overload.
+     * MCD profiling run execute in parallel. Once the profiling run
+     * succeeds, the target-independent analysis (shakeTrace) runs
+     * once, its intervals sharded over @p pool, and the trace is
+     * freed; a matrix without schedule-replay legs collects no trace.
+     * The schedule-replay legs then each cluster the shared profile
+     * for their target and simulate, concurrently; an analysis error
+     * fails exactly those legs. The global-search legs (which need the
+     * baseline plus their reference leg) run last. Every leg simulates
+     * an independently constructed, per-run-seeded processor, so the
+     * results are bit-identical to the serial runBenchmark() overload.
      */
     BenchmarkResults runBenchmark(const std::string &name,
                                   ThreadPool &pool);
@@ -476,9 +480,10 @@ class ExperimentRunner
     std::string cachePath(const std::string &name) const;
 
     /**
-     * Run only the pieces needed for a dynamic configuration:
-     * profile, analyze, dynamic run. Used by Figure 8/9 benches and
-     * the examples.
+     * Run only the pieces needed for a dynamic configuration: the
+     * profiling run, the matrix's analysis path (shakeTrace, then
+     * cluster at @p target_dilation), and the replay. Unguarded and
+     * serial. Used by Figure 8/9 benches and the examples.
      */
     struct DynamicRun
     {
@@ -506,13 +511,6 @@ class ExperimentRunner
     std::uint64_t cacheQuarantines() const { return quarantines; }
 
   private:
-    /** Result of one dynamic (analyze + simulate) leg. */
-    struct DynLeg
-    {
-        RunResult result;
-        std::size_t scheduleSize = 0;
-    };
-
     /** Result of one global-search leg. */
     struct GlobalOut
     {
@@ -523,15 +521,20 @@ class ExperimentRunner
     SimConfig makeSimConfig(ClockingStyle style,
                             const std::string &site = {}) const;
     RunResult runOnce(const Program &prog, const SimConfig &sc) const;
+    /** The MCD profiling run; collects the trace into @p trace_out
+     *  unless it is null. */
     RunResult profileLeg(const Program &prog,
-                         std::vector<InstTrace> &trace_out,
+                         std::vector<InstTrace> *trace_out,
                          const std::string &site) const;
     RunResult controllerLeg(const Program &prog, const LegSpec &leg,
                             const std::string &site) const;
-    DynLeg dynamicLeg(const Program &prog,
-                      const std::vector<InstTrace> &trace,
-                      double target_dilation,
-                      const std::string &site) const;
+    /** Cluster @p profile for one dilation target (the "cluster"
+     *  phase), then replay the schedule. */
+    DynamicRun dynamicLeg(const Program &prog,
+                          const ShakenProfile &profile,
+                          double target_dilation,
+                          const std::string &site,
+                          bool freq_trace = false) const;
     GlobalOut globalLeg(const Program &prog,
                         const BenchmarkResults &r,
                         const RunResult &reference,

@@ -37,7 +37,10 @@
  *              check and quarantine path.
  *
  * Leg names follow the matrix columns: baseline, mcdBaseline, dyn1,
- * dyn5, global, online.
+ * dyn5, global, online. One site is not a leg: bench/mcdBaseline/
+ * analyze is the benchmark's shared offline analysis, reached once
+ * (attempt 1) after the profiling run; a throw there fails every
+ * schedule-replay leg of the benchmark.
  */
 
 #ifndef MCD_FAULT_FAULT_PLAN_HH

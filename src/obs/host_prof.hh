@@ -6,9 +6,10 @@
  * The simulator's own telemetry (obs/telemetry.hh) measures simulated
  * time; nothing so far measured the machine running it beyond one
  * micro_speed number. The HostProfiler records scoped phases
- * (validate, per-leg simulate, cache read/write, schedule analysis,
- * figure render), per-leg wall time and peak RSS, and ThreadPool
- * utilization, then publishes two views:
+ * (validate, per-leg simulate, cache read/write, analyze once per
+ * benchmark around the target-independent shakeTrace, cluster per
+ * schedule-replay leg, figure render), per-leg wall time and peak
+ * RSS, and ThreadPool utilization, then publishes two views:
  *
  *  - publish(): aggregated, deterministically ordered host.* stats
  *    merged into the matrix stats JSON (keys are stable across job
@@ -97,8 +98,9 @@ class HostProfiler
 
     /**
      * Open a phase of @p kind ("validate", "simulate", "cache.read",
-     * "cache.write", "analyze", "render") with an optional free-form
-     * @p detail (typically the leg site or figure title).
+     * "cache.write", "analyze", "cluster", "render") with an optional
+     * free-form @p detail (typically the leg site, benchmark name or
+     * figure title).
      */
     Scope phase(std::string kind, std::string detail = {});
 
