@@ -3,8 +3,8 @@
  * Shared plumbing for the figure/table bench binaries: experiment
  * configuration from the resolved RunSpec (defaults < config file <
  * env vars < CLI flags; see docs/config-reference.md), and the
- * per-benchmark matrix loop with on-disk caching so fig5/6/7 share
- * one set of runs.
+ * per-benchmark matrix loop with on-disk caching so fig5/6/7 and
+ * fig9's XScale half share one set of runs.
  */
 
 #ifndef MCD_BENCH_BENCH_UTIL_HH

@@ -25,7 +25,7 @@ printTrace(const char *model_name, const RunResult &r)
     std::printf("art (%s) -- frequency changes per domain\n",
                 model_name);
     for (Domain d : scalableDomains) {
-        const auto &tr = r.freqTraces[domainIndex(d)];
+        const auto &tr = r.telemetry->sampler().frequencyTrace(d);
         std::printf("  %-3s t=0.000ms 1000 MHz", domainShortName(d));
         // Decimate the smooth XScale ramps: print a point when the
         // frequency moved >= 25 MHz since the last printed one, plus
@@ -63,28 +63,31 @@ main(int argc, char **argv)
                 "off-line algorithm (dynamic-1%%)\n\n");
 
     std::uint64_t changesTm = 0, changesXs = 0;
-    // runDynamic() has no per-leg guard (there is no matrix to keep
-    // alive here), so configuration and simulation errors surface as
-    // a clean usage-error exit instead of an unhandled exception.
-    try {
-        for (DvfsKind model : {DvfsKind::Transmeta, DvfsKind::XScale}) {
-            ExperimentConfig ec = benchutil::configFromEnv(model);
-            if (config::RunSpec::resolve().isDefault("scale"))
-                ec.scale = 3;   // longer run: more phase alternations
-            ec.recordFreqTrace = true;
-            ExperimentRunner runner(ec);
-            auto dyn = runner.runDynamic("art", ec.dilationLow);
-            printTrace(dvfsKindName(model), dyn.result);
-            std::uint64_t changes = 0;
-            for (int d = 1; d < numDomains; ++d)
-                changes += dyn.result.domains[d].reconfigurations;
-            (model == DvfsKind::Transmeta ? changesTm : changesXs) =
-                changes;
-        }
-    } catch (const FatalError &e) {
-        std::fprintf(stderr, "fatal: %s\n", e.what());
-        return 2;
+    std::vector<BenchmarkResults> rows;
+    for (DvfsKind model : {DvfsKind::Transmeta, DvfsKind::XScale}) {
+        ExperimentConfig ec = benchutil::configFromEnv(model);
+        if (config::RunSpec::resolve().isDefault("scale"))
+            ec.scale = 3;   // longer run: more phase alternations
+        ec.legs = {LegSpec::scheduleReplay("dyn1", ec.dilationLow)};
+        // The series live in the run's telemetry, which the result
+        // cache does not keep.
+        ec.telemetry.freqSeries = true;
+        ec.cacheDir.clear();
+        rows.push_back(benchutil::orUsageError([&] {
+            return runMatrix(ec, {"art"},
+                             config::RunSpec::resolve().jobs());
+        })[0]);
+        const RunResult &dyn = rows.back().leg("dyn1");
+        if (dyn.failed())
+            continue;
+        printTrace(dvfsKindName(model), dyn);
+        std::uint64_t changes = 0;
+        for (int d = 1; d < numDomains; ++d)
+            changes += dyn.domains[d].reconfigurations;
+        (model == DvfsKind::Transmeta ? changesTm : changesXs) = changes;
     }
+    if (int code = benchutil::finish(rows); code != exitOk)
+        return code;
 
     std::printf("Paper shape -- XScale makes at least as many frequency "
                 "changes as Transmeta: %s (Transmeta %llu vs XScale "

@@ -15,14 +15,17 @@
  * ("default" for the built-in set). The MCD_TRACE_OUT /
  * MCD_STATS_OUT / MCD_INVARIANTS environment variables are the
  * fallback when the flags are absent.
+ *
+ * Exit status: 0 on success, 2 on a usage error, 3 / 4 when some /
+ * every leg of the run failed.
  */
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/stats.hh"
-#include "control/online_queue.hh"
 #include "core/experiment.hh"
 #include "example_util.hh"
 #include "workloads/workloads.hh"
@@ -55,23 +58,34 @@ main(int argc, char **argv)
     if (telemetry.wanted())
         ec.telemetry = obs::TelemetryConfig::full();
     telemetry.apply(ec.telemetry);
+    // The oracle bound: what the offline tool achieves with the whole
+    // trace in hand and a 5% dilation budget.
+    ec.legs = {LegSpec::scheduleReplay("dyn5", ec.dilationHigh),
+               LegSpec::controllerLeg("online", "online-queue")};
     ExperimentRunner runner(ec);
 
-    std::printf("[1/2] MCD baseline + online attack/decay run "
+    std::printf("Running the MCD baseline, the online attack/decay "
+                "controller and the offline dynamic-5%% oracle "
                 "(%s model, %.1f us control interval)...\n",
                 dvfsKindName(model), ec.online.interval / 1e6);
-    ExperimentRunner::OnlineRun on = runner.runOnline(bench);
+    const std::vector<BenchmarkResults> rows{runner.runBenchmark(bench)};
+    if (int code = matrixExitCode(rows); code != exitOk)
+        return code;
+    const RunResult &base = rows[0].mcdBaseline;
+    const RunResult &online = rows[0].leg("online");
+    const RunResult &dyn = rows[0].leg("dyn5");
 
-    double deg = static_cast<double>(on.online.execTime) /
-        static_cast<double>(on.mcdBaseline.execTime) - 1.0;
-    double esave = 1.0 - on.online.totalEnergy / on.mcdBaseline.totalEnergy;
-    double edp = 1.0 - on.online.energyDelay / on.mcdBaseline.energyDelay;
-    std::printf("      vs MCD baseline: %s slower, %s energy saved, "
+    double deg = static_cast<double>(online.execTime) /
+        static_cast<double>(base.execTime) - 1.0;
+    double esave = 1.0 - online.totalEnergy / base.totalEnergy;
+    double edp = 1.0 - online.energyDelay / base.energyDelay;
+    std::printf("\nOnline attack/decay\n"
+                "      vs MCD baseline: %s slower, %s energy saved, "
                 "EDP %s\n",
                 formatPercent(deg).c_str(), formatPercent(esave).c_str(),
                 formatPercent(edp).c_str());
     for (Domain d : scalableDomains) {
-        const DomainSummary &s = on.online.domains[domainIndex(d)];
+        const DomainSummary &s = online.domains[domainIndex(d)];
         std::printf("      %s: avg %s, range [%s, %s], %llu "
                     "reconfigurations\n",
                     domainShortName(d),
@@ -81,26 +95,20 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(s.reconfigurations));
     }
 
-    // The oracle bound: what the offline tool achieves with the whole
-    // trace in hand and a 5% dilation budget.
-    std::printf("\n[2/2] Offline dynamic-5%% oracle for comparison...\n");
-    ExperimentRunner::DynamicRun dyn = runner.runDynamic(bench, 0.05);
-    double odeg = static_cast<double>(dyn.result.execTime) /
-        static_cast<double>(on.mcdBaseline.execTime) - 1.0;
-    double osave =
-        1.0 - dyn.result.totalEnergy / on.mcdBaseline.totalEnergy;
-    std::printf("      vs MCD baseline: %s slower, %s energy saved, "
+    double odeg = static_cast<double>(dyn.execTime) /
+        static_cast<double>(base.execTime) - 1.0;
+    double osave = 1.0 - dyn.totalEnergy / base.totalEnergy;
+    std::printf("\nOffline dynamic-5%% oracle\n"
+                "      vs MCD baseline: %s slower, %s energy saved, "
                 "EDP %s\n",
                 formatPercent(odeg).c_str(), formatPercent(osave).c_str(),
-                formatPercent(1.0 - dyn.result.energyDelay /
-                              on.mcdBaseline.energyDelay).c_str());
+                formatPercent(1.0 - dyn.energyDelay /
+                              base.energyDelay).c_str());
     std::printf("\n      online achieved %.0f%% of the oracle's energy "
                 "savings with no profiling pass\n\n",
                 osave > 0 ? 100.0 * esave / osave : 0.0);
 
-    telemetry.write({{bench + "/mcdBaseline", &on.mcdBaseline},
-                     {bench + "/online", &on.online},
-                     {bench + "/dyn5", &dyn.result}});
-    return 0;
+    telemetry.write(namedRuns(rows));
+    return exitOk;
     });
 }

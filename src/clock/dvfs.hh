@@ -160,10 +160,9 @@ class DomainDvfs
     /**
      * Attach the run's telemetry context: frequency changes and PLL
      * re-lock windows are reported through its hooks. The production
-     * consumer of frequency series (Figure 8, RunResult::freqTraces)
-     * reads the telemetry sampler; the legacy in-engine trace below
-     * remains as the independent ground truth the telemetry tests
-     * compare against.
+     * consumer of frequency series (Figure 8) reads the telemetry
+     * sampler; the legacy in-engine trace below remains as the
+     * independent ground truth the telemetry tests compare against.
      */
     void attachTelemetry(obs::Telemetry *t) { telem = t; }
 

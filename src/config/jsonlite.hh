@@ -3,9 +3,8 @@
  * A minimal JSON reader for the configuration surfaces: objects of
  * strings, numbers, booleans, and nested objects — exactly the shape
  * of RunSpec documents (`mcd-runspec-v1`) and fuzz repro files
- * (`mcd-repro-v1` / `mcd-repro-v2`). Arrays and null are rejected:
- * no config document uses them, and rejecting keeps the parser small
- * enough to audit.
+ * (`mcd-repro-v2`). Arrays and null are rejected: no config document
+ * uses them, and rejecting keeps the parser small enough to audit.
  *
  * Number tokens are preserved as their source text (not converted to
  * double), so values like a fuzz scenario's "0.050000" round-trip

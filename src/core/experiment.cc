@@ -1375,18 +1375,17 @@ ExperimentRunner::controllerLeg(const Program &prog, const LegSpec &leg,
     return runOnce(prog, sc);
 }
 
-ExperimentRunner::DynamicRun
+ExperimentRunner::ReplayOut
 ExperimentRunner::dynamicLeg(const Program &prog,
                              const ShakenProfile &profile,
                              double target_dilation,
-                             const std::string &site,
-                             bool freq_trace) const
+                             const std::string &site) const
 {
-    DynamicRun out;
+    AnalysisResult analysis;
     {
         obs::HostProfiler::Scope prof =
             obs::HostProfiler::instance().phase("cluster", site);
-        out.analysis = cluster(
+        analysis = cluster(
             profile, OfflineAnalyzer::configFor(target_dilation,
                                                 config.model,
                                                 config.dvfsTimeScale)
@@ -1395,10 +1394,8 @@ ExperimentRunner::dynamicLeg(const Program &prog,
     SimConfig dynCfg = makeSimConfig(ClockingStyle::Mcd, site);
     dynCfg.dvfs = config.model;
     dynCfg.dvfsTimeScale = config.dvfsTimeScale;
-    dynCfg.schedule = &out.analysis.schedule;
-    dynCfg.recordFreqTrace = freq_trace;
-    out.result = runOnce(prog, dynCfg);
-    return out;
+    dynCfg.schedule = &analysis.schedule;
+    return {runOnce(prog, dynCfg), analysis.schedule.size()};
 }
 
 ExperimentRunner::GlobalOut
@@ -1439,22 +1436,6 @@ ExperimentRunner::globalLeg(const Program &prog,
             hi = mid - 1;   // within target; try slower
     }
     return best;
-}
-
-ExperimentRunner::DynamicRun
-ExperimentRunner::runDynamic(const std::string &name,
-                             double target_dilation)
-{
-    const Program prog = workloads::build(name, config.scale);
-    // The trace dies with this lambda, before the replay runs.
-    const ShakenProfile profile = [&] {
-        std::vector<InstTrace> trace;
-        profileLeg(prog, &trace, {});
-        ThreadPool serial(0);
-        return shakenProfile(trace, serial, name);
-    }();
-    return dynamicLeg(prog, profile, target_dilation, {},
-                      config.recordFreqTrace);
 }
 
 RunResult
@@ -1658,10 +1639,10 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
                 return runGuarded(name, spec->name, [&] {
                     if (analysisError)
                         std::rethrow_exception(analysisError);
-                    DynamicRun leg = dynamicLeg(prog, profile,
-                                                spec->dilation,
-                                                name + "/" + spec->name);
-                    schedSizes[i] = leg.analysis.schedule.size();
+                    ReplayOut leg = dynamicLeg(prog, profile,
+                                               spec->dilation,
+                                               name + "/" + spec->name);
+                    schedSizes[i] = leg.scheduleSize;
                     return leg.result;
                 });
             }));
@@ -1704,17 +1685,6 @@ ExperimentRunner::runBenchmark(const std::string &name, ThreadPool &pool)
 
     storeCache(r);
     return r;
-}
-
-ExperimentRunner::OnlineRun
-ExperimentRunner::runOnline(const std::string &name)
-{
-    Program prog = workloads::build(name, config.scale);
-    OnlineRun out;
-    out.mcdBaseline = runOnce(prog, makeSimConfig(ClockingStyle::Mcd));
-    out.online = controllerLeg(
-        prog, LegSpec::controllerLeg("online", "online-queue"), {});
-    return out;
 }
 
 namespace {

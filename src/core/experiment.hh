@@ -25,6 +25,10 @@
  * of the dyn5 oracle plus every registered controller and ranks them
  * on an energy-delay-product leaderboard.
  *
+ * runBenchmark() / runMatrix() are the only way to run a leg: every
+ * figure (Figure 8's frequency traces, read from the replay leg's
+ * telemetry sampler with TelemetryConfig::freqSeries on, and Figure
+ * 9's dyn5 statistics included) and every example is a leg vector.
  * Results are cached on disk so the per-figure bench binaries can
  * share one expensive run matrix.
  */
@@ -126,7 +130,6 @@ struct ExperimentConfig
     double dilationLow = 0.01;      //!< dynamic-1% target
     double dilationHigh = 0.05;     //!< dynamic-5% target
     std::uint64_t seed = 1;
-    bool recordFreqTrace = false;   //!< per-domain traces (Figure 8)
     std::string cacheDir;           //!< empty = caching disabled
 
     /**
@@ -479,38 +482,19 @@ class ExperimentRunner
     /** Cache file path for @p name (empty when caching is disabled). */
     std::string cachePath(const std::string &name) const;
 
-    /**
-     * Run only the pieces needed for a dynamic configuration: the
-     * profiling run, the matrix's analysis path (shakeTrace, then
-     * cluster at @p target_dilation), and the replay. Unguarded and
-     * serial. Used by Figure 8/9 benches and the examples.
-     */
-    struct DynamicRun
-    {
-        RunResult result;
-        AnalysisResult analysis;
-    };
-    DynamicRun runDynamic(const std::string &name,
-                          double target_dilation);
-
-    /**
-     * Run only the online-control comparison: the MCD baseline and
-     * the OnlineQueueController run (no offline analysis, no global
-     * search). Never cached — cheap enough to rerun.
-     */
-    struct OnlineRun
-    {
-        RunResult mcdBaseline;
-        RunResult online;
-    };
-    OnlineRun runOnline(const std::string &name);
-
     const ExperimentConfig &cfg() const { return config; }
 
     /** Cache files quarantined (renamed *.corrupt) by this runner. */
     std::uint64_t cacheQuarantines() const { return quarantines; }
 
   private:
+    /** Result of one schedule-replay leg. */
+    struct ReplayOut
+    {
+        RunResult result;
+        std::size_t scheduleSize = 0;
+    };
+
     /** Result of one global-search leg. */
     struct GlobalOut
     {
@@ -530,11 +514,10 @@ class ExperimentRunner
                             const std::string &site) const;
     /** Cluster @p profile for one dilation target (the "cluster"
      *  phase), then replay the schedule. */
-    DynamicRun dynamicLeg(const Program &prog,
-                          const ShakenProfile &profile,
-                          double target_dilation,
-                          const std::string &site,
-                          bool freq_trace = false) const;
+    ReplayOut dynamicLeg(const Program &prog,
+                         const ShakenProfile &profile,
+                         double target_dilation,
+                         const std::string &site) const;
     GlobalOut globalLeg(const Program &prog,
                         const BenchmarkResults &r,
                         const RunResult &reference,

@@ -143,6 +143,19 @@ TEST(AnalysisProfile, ClusterOfShakenProfileMatchesSerialPipeline)
     }
 }
 
+TEST(AnalysisProfile, EpicProfileSpansIntervalsAndEvents)
+{
+    ThreadPool serial(0);
+    const AnalyzerConfig ac =
+        OfflineAnalyzer::configFor(0.05, DvfsKind::XScale);
+    const AnalysisResult a = cluster(
+        shakeTrace(profilingTrace("epic"), ac.graph, ac.shaker,
+                   ac.clustering.fmax, ac.clustering.fmin, serial),
+        ac.clustering);
+    EXPECT_GT(a.intervals, 0u);
+    EXPECT_GT(a.eventsTotal, 50'000u);
+}
+
 TEST(AnalysisProfile, ProfileIsIdenticalForEveryPoolSize)
 {
     const std::vector<InstTrace> &trace = profilingTrace("gcc");

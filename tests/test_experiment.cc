@@ -18,17 +18,17 @@
 namespace mcd {
 namespace {
 
-TEST(Experiment, DynamicRunProducesScheduleAndResult)
+TEST(Experiment, ReplayLegProducesScheduleAndResult)
 {
     ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("epic", 0.05);
-    EXPECT_GT(dyn.analysis.intervals, 0u);
-    EXPECT_GT(dyn.analysis.eventsTotal, 50'000u);
-    EXPECT_GT(dyn.result.committed, 100'000u);
+    ec.legs = {LegSpec::scheduleReplay("dyn5", 0.05)};
+    BenchmarkResults r = ExperimentRunner(ec).runBenchmark("epic");
+    EXPECT_GT(r.scheduleSize("dyn5"), 0u);
+    const RunResult &dyn = r.leg("dyn5");
+    EXPECT_GT(dyn.committed, 100'000u);
     // At least the FP domain must have been scaled for this integer
     // filter kernel.
-    EXPECT_LT(dyn.result.domains[domainIndex(Domain::FloatingPoint)]
+    EXPECT_LT(dyn.domains[domainIndex(Domain::FloatingPoint)]
                   .avgFrequency, 900e6);
 }
 
@@ -37,13 +37,13 @@ TEST(Experiment, AnalysisPlansRespectDilationDirection)
     // A tighter dilation target must choose frequencies that are
     // greater than or equal to a looser one, domain by domain.
     ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto tight = runner.runDynamic("gcc", 0.01);
-    auto loose = runner.runDynamic("gcc", 0.10);
+    ec.legs = {LegSpec::scheduleReplay("tight", 0.01),
+               LegSpec::scheduleReplay("loose", 0.10)};
+    BenchmarkResults r = ExperimentRunner(ec).runBenchmark("gcc");
     for (Domain d : scalableDomains) {
         int di = domainIndex(d);
-        EXPECT_GE(tight.result.domains[di].avgFrequency + 1e6,
-                  loose.result.domains[di].avgFrequency);
+        EXPECT_GE(r.leg("tight").domains[di].avgFrequency + 1e6,
+                  r.leg("loose").domains[di].avgFrequency);
     }
 }
 

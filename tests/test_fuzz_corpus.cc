@@ -77,43 +77,5 @@ TEST(FuzzCorpus, CommittedCorpusUsesTheUnifiedReproSchema)
     }
 }
 
-TEST(FuzzCorpus, LegacyV1ReprosStillLoadAndConvert)
-{
-    // The pinned v1 fixture guards the legacy reader: pre-migration
-    // repro files in the wild must keep loading, and writing a loaded
-    // v1 repro back out produces an equivalent v2 document.
-    fs::path fixture = fs::path(MCD_SOURCE_DIR) / "tests" / "fixtures" /
-        "legacy-repro-v1.json";
-    std::ifstream in(fixture);
-    ASSERT_TRUE(in) << fixture;
-    std::optional<fuzz::Repro> v1 = fuzz::readRepro(in);
-    ASSERT_TRUE(v1.has_value());
-    EXPECT_EQ(v1->signature, "invariant:dilation@dyn5");
-    EXPECT_EQ(v1->scenario.jobs, 1);
-    EXPECT_NE(v1->scenario.configSpec.find("model=Transmeta"),
-              std::string::npos);
-
-    std::ostringstream out;
-    fuzz::writeRepro(out, v1->scenario, v1->signature);
-    EXPECT_NE(out.str().find(fuzz::reproVersion), std::string::npos);
-    std::istringstream back(out.str());
-    std::optional<fuzz::Repro> v2 = fuzz::readRepro(back);
-    ASSERT_TRUE(v2.has_value());
-    EXPECT_EQ(v2->signature, v1->signature);
-    EXPECT_EQ(v2->scenario.configSpec, v1->scenario.configSpec);
-    EXPECT_EQ(v2->scenario.legsSpec, v1->scenario.legsSpec);
-    EXPECT_EQ(v2->scenario.faultSpec, v1->scenario.faultSpec);
-    EXPECT_EQ(v2->scenario.workload.spec(), v1->scenario.workload.spec());
-    EXPECT_EQ(v2->scenario.plantedSpec, v1->scenario.plantedSpec);
-    EXPECT_EQ(v2->scenario.jobs, v1->scenario.jobs);
-
-    // And the legacy entry still replays to its recorded signature.
-    fuzz::ReplayResult r = fuzz::replayRepro(fixture.string());
-    EXPECT_TRUE(r.loaded);
-    EXPECT_TRUE(r.matched)
-        << "recorded '" << r.recorded << "' but replay produced '"
-        << r.outcome.signature << "'";
-}
-
 } // namespace
 } // namespace mcd

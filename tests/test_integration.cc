@@ -5,6 +5,8 @@
  * the bench harness's job; these keep CI fast).
  */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
@@ -14,6 +16,15 @@ namespace {
 
 /** Three benchmarks spanning compute-, memory-, and FP-bound. */
 const char *kBenches[] = {"adpcm", "mcf", "power"};
+
+/** The run of a one-leg matrix replaying the offline schedule for
+ *  @p dilation on @p bench. */
+RunResult
+replayRun(ExperimentConfig ec, const std::string &bench, double dilation)
+{
+    ec.legs = {LegSpec::scheduleReplay("dyn", dilation)};
+    return ExperimentRunner(ec).runBenchmark(bench).leg("dyn");
+}
 
 TEST(Integration, PaperOrderingAcrossKinds)
 {
@@ -48,15 +59,14 @@ TEST(Integration, TransmetaInferiorToXScale)
     std::uint64_t rcXs = 0, rcTm = 0;
     double esXs = 0.0, esTm = 0.0;
     for (const char *name : {"art", "gcc"}) {
-        ExperimentRunner rxs(xs), rtm(tm);
-        auto a = rxs.runDynamic(name, 0.05);
-        auto b = rtm.runDynamic(name, 0.05);
+        RunResult a = replayRun(xs, name, 0.05);
+        RunResult b = replayRun(tm, name, 0.05);
         for (int d = 1; d < numDomains; ++d) {
-            rcXs += a.result.domains[d].reconfigurations;
-            rcTm += b.result.domains[d].reconfigurations;
+            rcXs += a.domains[d].reconfigurations;
+            rcTm += b.domains[d].reconfigurations;
         }
-        esXs += a.result.totalEnergy;
-        esTm += b.result.totalEnergy;
+        esXs += a.totalEnergy;
+        esTm += b.totalEnergy;
         (void)esXs;
         (void)esTm;
     }
@@ -67,10 +77,8 @@ TEST(Integration, FpDomainRidesAtMinimumForIntegerCode)
 {
     // Paper Section 4: the FP domain can be scaled to the lowest
     // frequency in many (integer) applications.
-    ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("bzip2", 0.05);
-    EXPECT_NEAR(dyn.result.domains[domainIndex(Domain::FloatingPoint)]
+    RunResult dyn = replayRun(ExperimentConfig{}, "bzip2", 0.05);
+    EXPECT_NEAR(dyn.domains[domainIndex(Domain::FloatingPoint)]
                     .avgFrequency, 250e6, 30e6);
 }
 
@@ -78,12 +86,10 @@ TEST(Integration, HighIpcCodeResistsScaling)
 {
     // g721: balanced mix and IPC > 2; integer and load/store domains
     // must stay near full speed (paper Section 4).
-    ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("g721", 0.01);
-    EXPECT_GT(dyn.result.domains[domainIndex(Domain::Integer)]
+    RunResult dyn = replayRun(ExperimentConfig{}, "g721", 0.01);
+    EXPECT_GT(dyn.domains[domainIndex(Domain::Integer)]
                   .avgFrequency, 900e6);
-    EXPECT_GT(dyn.result.domains[domainIndex(Domain::LoadStore)]
+    EXPECT_GT(dyn.domains[domainIndex(Domain::LoadStore)]
                   .avgFrequency, 800e6);
 }
 
@@ -91,12 +97,10 @@ TEST(Integration, MemoryBoundCodeScalesDeeply)
 {
     // mcf: cache-miss slack lets both back-end compute domains scale
     // far down with little performance cost (paper's gcc/mcf story).
-    ExperimentConfig ec;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("mcf", 0.05);
-    EXPECT_LT(dyn.result.domains[domainIndex(Domain::Integer)]
+    RunResult dyn = replayRun(ExperimentConfig{}, "mcf", 0.05);
+    EXPECT_LT(dyn.domains[domainIndex(Domain::Integer)]
                   .avgFrequency, 900e6);
-    EXPECT_NEAR(dyn.result.domains[domainIndex(Domain::FloatingPoint)]
+    EXPECT_NEAR(dyn.domains[domainIndex(Domain::FloatingPoint)]
                     .avgFrequency, 250e6, 30e6);
 }
 
@@ -105,11 +109,11 @@ TEST(Integration, ArtFrequencyTraceTracksPhases)
     // Figure 8: art's FP domain changes frequency across program
     // phases under the XScale model.
     ExperimentConfig ec;
-    ec.recordFreqTrace = true;
-    ExperimentRunner runner(ec);
-    auto dyn = runner.runDynamic("art", 0.01);
+    ec.telemetry.freqSeries = true;
+    RunResult dyn = replayRun(ec, "art", 0.01);
+    ASSERT_TRUE(dyn.telemetry);
     const auto &fpTrace =
-        dyn.result.freqTraces[domainIndex(Domain::FloatingPoint)];
+        dyn.telemetry->sampler().frequencyTrace(Domain::FloatingPoint);
     EXPECT_GE(fpTrace.size(), 2u);
     Hertz lo = 1e18, hi = 0;
     for (const FreqTracePoint &pt : fpTrace) {
